@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Mapping
 
 import numpy as np
@@ -401,10 +402,13 @@ class Type3Device:
                 )
         self.stats["reads"] += count
         data = bytearray(self.memory.read(dpa, count * CACHELINE_BYTES))
-        for addr, line in self._write_buffer.items():
-            if dpa <= addr < end:
-                off = addr - dpa
-                data[off:off + CACHELINE_BYTES] = line
+        if self._write_buffer:
+            # overlay by looking the span's own addresses up: O(span)
+            get = self._write_buffer.get
+            for off in range(0, count * CACHELINE_BYTES, CACHELINE_BYTES):
+                line = get(dpa + off)
+                if line is not None:
+                    data[off:off + CACHELINE_BYTES] = line
         return bytes(data)
 
     def write_lines(self, dpa: int, data: bytes | bytearray | memoryview) -> None:
@@ -413,9 +417,11 @@ class Type3Device:
         Produces exactly the state a per-line :meth:`process_rwd` walk
         would: the write buffer ends holding the last
         :data:`WRITE_BUFFER_LINES` lines (in insertion order) and every
-        earlier line reaches media.  Spans at least as large as the
-        buffer that don't touch buffered addresses take a drain + bulk
-        media write instead of the per-line insert/evict walk.
+        earlier line reaches media.  A span that shares no address with
+        the buffer appends its lines and evicts the overflow oldest-first,
+        one media write per contiguous run (:meth:`_evict_runs`); only a
+        span that overlaps the buffer — where eviction order decides which
+        data lands on media — takes the per-line insert/evict walk.
         """
         data = bytes(data)
         n, rem = divmod(len(data), CACHELINE_BYTES)
@@ -436,14 +442,15 @@ class Type3Device:
                 a for a in self._quarantined if dpa <= a < end}
         wb = self._write_buffer
         keep = self.WRITE_BUFFER_LINES
-        if n >= keep and not any(dpa <= a < end for a in wb):
-            # The per-line walk would evict every pre-existing buffer
-            # entry and then all but the last `keep` lines of this span,
-            # in insertion order; replay that wholesale.
-            for addr, line in wb.items():
-                self.memory.write(addr, line)
-            wb.clear()
-            split = (n - keep) * CACHELINE_BYTES
+        if wb.keys().isdisjoint(range(dpa, end, CACHELINE_BYTES)):
+            # The per-line walk would evict the oldest `excess` lines of
+            # [buffer..., span...] in insertion order; replay that with
+            # the span's own overflow going to media in one write.
+            excess = len(wb) + n - keep
+            drained = min(max(excess, 0), len(wb))
+            if drained:
+                self._evict_runs(drained)
+            split = max(excess - drained, 0) * CACHELINE_BYTES
             if split:
                 self.memory.write(dpa, data[:split])
             for off in range(split, len(data), CACHELINE_BYTES):
@@ -453,6 +460,26 @@ class Type3Device:
             wb[dpa + off] = data[off:off + CACHELINE_BYTES]
             if len(wb) > keep:
                 self._evict_oldest()
+
+    def _evict_runs(self, count: int) -> None:
+        """Evict the ``count`` oldest buffered lines to media.
+
+        Same lines and order as ``count`` :meth:`_evict_oldest` calls, but
+        each run of address-contiguous lines is one media write.
+        """
+        wb = self._write_buffer
+        victims = list(islice(wb.items(), count))
+        run_start = victims[0][0]
+        run: list[bytes] = []
+        expect = run_start
+        for addr, line in victims:
+            del wb[addr]
+            if addr != expect:
+                self.memory.write(run_start, b"".join(run))
+                run_start, run = addr, []
+            run.append(line)
+            expect = addr + CACHELINE_BYTES
+        self.memory.write(run_start, b"".join(run))
 
     # ------------------------------------------------------------------
     # persistence domain

@@ -200,6 +200,17 @@ class TagAllocator:
             raise CxlError(f"retiring tag {tag:#x} that is not in flight") from None
 
     def retire_many(self, tags: Iterable[int]) -> None:
-        """Retire a batch of tags (every one must be in flight)."""
+        """Retire a batch of tags (every one must be in flight).
+
+        A duplicate-free batch of in-flight tags retires in one set
+        operation; any other batch takes the per-tag walk, so the error
+        names the first offending tag and the tags before it stay
+        retired, exactly as with :meth:`retire` in a loop.
+        """
+        tags = list(tags)
+        batch = set(tags)
+        if len(batch) == len(tags) and batch <= self._inflight:
+            self._inflight.difference_update(batch)
+            return
         for tag in tags:
             self.retire(tag)

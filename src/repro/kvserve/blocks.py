@@ -64,6 +64,11 @@ class BlockState(str, Enum):
     EVICTED = "evicted"          # removed from pool, metadata retained
 
 
+_DIGEST_BYTES = 32
+#: the counter stream's little-endian 4-byte counters, enough for 32 KiB
+_COUNTERS = tuple(i.to_bytes(4, "little") for i in range(1024))
+
+
 def block_payload(key: str, size: int) -> bytes:
     """The deterministic KV bytes for chain key ``key``.
 
@@ -74,13 +79,16 @@ def block_payload(key: str, size: int) -> bytes:
     is what lets the recovery drills demand sha256 equality between a
     pool-recovered run and an uninterrupted one.
     """
-    out = bytearray()
-    counter = 0
-    seed = bytes.fromhex(key)
-    while len(out) < size:
-        out += hashlib.sha256(seed + counter.to_bytes(4, "little")).digest()
-        counter += 1
-    return bytes(out[:size])
+    n = max(0, -(-size // _DIGEST_BYTES))
+    counters = (_COUNTERS[:n] if n <= len(_COUNTERS) else
+                [i.to_bytes(4, "little") for i in range(n)])
+    head = hashlib.sha256(bytes.fromhex(key))
+    digests = []
+    for counter in counters:
+        h = head.copy()             # sha256(seed + counter), seed hashed once
+        h.update(counter)
+        digests.append(h.digest())
+    return b"".join(digests)[:size]
 
 
 @dataclass(frozen=True)
@@ -342,7 +350,7 @@ class KvBlockStore:
         block.state = BlockState.POOLED
         block.payload = None
         self.counters["offloads"] += 1
-        self.heat.record([loc.page])
+        self.heat.touch(loc.page)
         obs.inc("kvserve.blocks.offloaded")
         return ns
 
@@ -362,7 +370,7 @@ class KvBlockStore:
             raise KvCacheError(
                 f"integrity failure reading block {key[:12]} from pool "
                 f"slot {block.loc}: payload digest mismatch")
-        self.heat.record([block.loc.page])
+        self.heat.touch(block.loc.page)
         return payload, ns
 
     def evict_cold(self, n: int = 1) -> list[str]:

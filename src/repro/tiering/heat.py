@@ -128,6 +128,18 @@ class HeatTracker:
         else:
             self._counts += np.bincount(arr, minlength=self.n_pages)
 
+    def touch(self, page: int) -> None:
+        """Record one access to ``page`` in the open epoch.
+
+        Same effect as ``record([page])`` on every backend, without
+        building a batch array or an ``n_pages`` bincount.
+        """
+        if not 0 <= page < self.n_pages:
+            raise TieringError(
+                f"page id must be in [0, {self.n_pages}), got {page}")
+        self._counts[page] += 1
+        self.total_accesses += 1
+
     def end_epoch(self) -> np.ndarray:
         """Fold the open epoch: decay old heat, add the fresh counts.
 

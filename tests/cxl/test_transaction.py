@@ -119,6 +119,35 @@ class TestTagAllocator:
         t2 = alloc.allocate()
         assert t2 != t1
 
+    def test_retire_many_frees_the_batch(self):
+        alloc = TagAllocator(capacity=8)
+        tags = alloc.allocate_many(5)
+        alloc.retire_many(iter(tags[1:4]))
+        assert alloc.inflight == 2
+        alloc.retire_many(tags[::4])
+        assert alloc.inflight == 0
+
+    def test_retire_many_stray_tag_keeps_per_tag_semantics(self):
+        alloc = TagAllocator(capacity=8)
+        alloc.allocate_many(4)                  # tags 0..3
+        with pytest.raises(CxlError,
+                           match="retiring tag 0x7 that is not in flight"):
+            alloc.retire_many([0, 1, 7, 2])
+        # the tags before the stray one retired, the rest did not
+        assert alloc.inflight == 2
+        alloc.retire_many([2, 3])
+        assert alloc.inflight == 0
+
+    def test_retire_many_duplicate_tag_keeps_per_tag_semantics(self):
+        alloc = TagAllocator(capacity=8)
+        alloc.allocate_many(4)                  # tags 0..3
+        with pytest.raises(CxlError,
+                           match="retiring tag 0x1 that is not in flight"):
+            alloc.retire_many([0, 1, 1, 2])
+        assert alloc.inflight == 2
+        alloc.retire_many([2, 3])
+        assert alloc.inflight == 0
+
     def test_capacity_validation(self):
         with pytest.raises(CxlError):
             TagAllocator(capacity=0)

@@ -12,6 +12,7 @@ from repro.kvserve.blocks import (
     KvPool,
     block_payload,
 )
+from repro.kvserve.engine import KvServeEngine
 
 BLOCK = 1024
 
@@ -42,6 +43,52 @@ class TestPayload:
         assert block_payload(key, 100) == block_payload(key, 100)
         assert len(block_payload(key, 100)) == 100
         assert block_payload(key, 64) != block_payload(_key("b"), 64)
+
+    # sha256 of block_payload(key, size), pinned from the original
+    # bytearray/to_bytes implementation of the counter stream
+    GOLDEN = {
+        "00" * 32: (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "62c66a7a5dd70c3146618063c344e531e6d4b59e379808443ce962b3abd63c5a",
+            "de498acba1e99c09586c99350b08c3499cbfc670e4fd401522f99437b45e7346",
+            "ca5ace6dec772a290777987fd77016fcfd32925a42c84389b7b5fbd1c02654e1",
+            "fff161c0805266adbac0da677301ecddc8ba44226c70f38d222819fc791d4be2",
+            "329a853f49eafa023bac704f6dff7ae911ea439890d7cd7415df903ab42cf2f5",
+        ),
+        hashlib.sha256(b"prefix").hexdigest(): (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "333e0a1e27815d0ceee55c473fe3dc93d56c63e3bee2b3b4aee8eed6d70191a3",
+            "a3daa498f7c79cbc1d30b06cebc1dd19bfdca3110425c3e1e517464920955e1f",
+            "64281ffeff74b0f1696cb62e03dc177fb19d9eb17634232433540e7dd4b3cd58",
+            "cf44e14e2b474cf756021eb782ebfbc9efb092d764bd19700e24c9d3799abca0",
+            "20f0814c63eef318ade54508250f0aca1f327d1ac949a2c0889d382b625003b2",
+        ),
+        "c0ffee": (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "e7f6c011776e8db7cd330b54174fd76f7d0216b612387a5ffcfb81e6f0919683",
+            "4eb0aabbe6d5a76fa2764d51f53493a83857ecc09df510dcd05f34f23c3f5a66",
+            "326eb99243ca519edbbdd2372a9489519bb5fb4e2e3fadc69f018e7713efb1b1",
+            "d1003ff14714a41a23e488ae8ab34f4feb88a92c91186aba1c084db32fe1be37",
+            "1d758d84a84d3d3957d8f8e182bb72d0df4cc78c02ce49d8776baf9c35b28913",
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_golden_bytes(self, key):
+        # 1024 is the engine's default block_bytes (16 tokens x 64 B)
+        sizes = (0, 1, 31, 32, 33, 1024)
+        got = tuple(hashlib.sha256(block_payload(key, n)).hexdigest()
+                    for n in sizes)
+        assert got == self.GOLDEN[key]
+        assert KvServeEngine().block_bytes == 1024
+
+    def test_stream_beyond_the_precomputed_counters(self):
+        key = _key("long")
+        seed = bytes.fromhex(key)
+        want = b"".join(
+            hashlib.sha256(seed + i.to_bytes(4, "little")).digest()
+            for i in range(1100))[:35_000]
+        assert block_payload(key, 35_000) == want
 
 
 class TestLifecycle:

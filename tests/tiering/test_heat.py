@@ -77,6 +77,32 @@ class TestRecord:
         assert counts.tolist() == [0, 2, 0, 2, 0, 0, 0, 0]
 
 
+class TestTouch:
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_touch_matches_one_page_record(self, backend):
+        touched = HeatTracker(100, decay=0.7, backend=backend)
+        recorded = HeatTracker(100, decay=0.7, backend=backend)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            for page in rng.integers(0, 100, size=50).tolist():
+                touched.touch(page)
+                recorded.record([page])
+            assert touched.total_accesses == recorded.total_accesses
+            assert np.array_equal(touched.end_epoch(), recorded.end_epoch())
+            assert np.array_equal(touched.heat, recorded.heat)
+        touched.touch(np.int64(99))
+        recorded.record([99])
+        assert np.array_equal(touched.end_epoch(), recorded.end_epoch())
+
+    def test_rejects_out_of_range_page(self):
+        t = HeatTracker(8)
+        with pytest.raises(TieringError, match="page id"):
+            t.touch(8)
+        with pytest.raises(TieringError, match="page id"):
+            t.touch(-1)
+        assert t.total_accesses == 0
+
+
 class TestEpochFold:
     def test_decay_fold_is_geometric(self):
         t = HeatTracker(4, decay=0.5, backend="vector")
